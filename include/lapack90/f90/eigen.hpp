@@ -300,6 +300,9 @@ void geev(Matrix<R>& a, Vector<R>& wr, Vector<R>& wi, std::type_identity_t<Matri
                  vl != nullptr ? vl->ld() : 1,
                  vr != nullptr ? vr->data() : nullptr,
                  vr != nullptr ? vr->ld() : 1, linfo);
+    if (linfo < 0) {
+      linfo = -1;  // the F77 driver rejects only A: it holds a NaN or Inf
+    }
   }
   erinfo(linfo, "LA_GEEV", info);
 }
@@ -325,6 +328,9 @@ void geev(Matrix<T>& a, Vector<T>& w, std::type_identity_t<Matrix<T>>* vl = null
                  vl != nullptr ? vl->ld() : 1,
                  vr != nullptr ? vr->data() : nullptr,
                  vr != nullptr ? vr->ld() : 1, linfo);
+    if (linfo < 0) {
+      linfo = -1;  // the F77 driver rejects only A: it holds a NaN or Inf
+    }
   }
   erinfo(linfo, "LA_GEEV", info);
 }
@@ -427,6 +433,9 @@ void geevx(Matrix<R>& a, Vector<R>& wr, Vector<R>& wi,
                   scale.empty() ? nullptr : scale.data(), labnrm,
                   rconde.empty() ? nullptr : rconde.data(),
                   rcondv.empty() ? nullptr : rcondv.data(), linfo);
+    if (linfo < 0) {
+      linfo = -1;  // the F77 driver rejects only A: it holds a NaN or Inf
+    }
   }
   if (ilo != nullptr) {
     *ilo = lilo;
@@ -477,6 +486,9 @@ void geevx(Matrix<T>& a, Vector<T>& w, std::type_identity_t<Matrix<T>>* vl = nul
                   scale.empty() ? nullptr : scale.data(), labnrm,
                   rconde.empty() ? nullptr : rconde.data(),
                   rcondv.empty() ? nullptr : rcondv.data(), linfo);
+    if (linfo < 0) {
+      linfo = -1;  // the F77 driver rejects only A: it holds a NaN or Inf
+    }
   }
   if (ilo != nullptr) {
     *ilo = lilo;

@@ -81,7 +81,9 @@ real_t<C> resolvent_sep(idx n, const C* t, idx ldt, idx skip, C lambda) {
 
 /// Expert driver (xGEEVX semantics, 'B' balancing): eigenvalues, optional
 /// left/right eigenvectors, balancing data, and reciprocal condition
-/// numbers. rconde/rcondv may be null. Complex element types.
+/// numbers. rconde/rcondv may be null. Complex element types. INFO as for
+/// geev: -4 when balancing meets a NaN or Inf in A (ilo/ihi/scale/abnrm
+/// are then left at their defaults).
 template <ComplexScalar T>
 idx geevx(Job jobvl, Job jobvr, idx n, T* a, idx lda, T* w, T* vl, idx ldvl,
           T* vr, idx ldvr, idx& ilo, idx& ihi, real_t<T>* scale,
@@ -95,6 +97,9 @@ idx geevx(Job jobvl, Job jobvr, idx n, T* a, idx lda, T* w, T* vl, idx ldvl,
   }
   const bool wantcond = rconde != nullptr || rcondv != nullptr;
   auto bal = gebal(n, a, lda);
+  if (bal.info != 0) {
+    return -4;  // A holds a NaN or Inf
+  }
   ilo = bal.ilo;
   ihi = bal.ihi;
   if (scale != nullptr) {
@@ -183,6 +188,9 @@ idx geevx(Job jobvl, Job jobvr, idx n, R* a, idx lda, R* wr, R* wi, R* vl,
   }
   const bool wantcond = rconde != nullptr || rcondv != nullptr;
   auto bal = gebal(n, a, lda);
+  if (bal.info != 0) {
+    return -4;  // A holds a NaN or Inf
+  }
   ilo = bal.ilo;
   ihi = bal.ihi;
   if (scale != nullptr) {

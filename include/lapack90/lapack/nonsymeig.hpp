@@ -36,17 +36,21 @@
 
 namespace la::lapack {
 
-/// Balancing output: the permuted/scaled range [ilo, ihi] and per-row
-/// scale/permutation records (xGEBAL's SCALE array).
+/// Balancing output: the permuted/scaled range [ilo, ihi], per-row
+/// scale/permutation records (xGEBAL's SCALE array), and INFO.
 template <RealScalar R>
 struct BalanceInfo {
   idx ilo = 0;
   idx ihi = -1;
   std::vector<R> scale;
+  idx info = 0;  ///< 0, or -3: A holds a NaN or Inf (xGEBAL's INFO)
 };
 
 /// Balance a general matrix (xGEBAL 'B'): permute to isolate eigenvalues,
-/// then scale rows/columns toward equal norms. A is overwritten.
+/// then scale rows/columns toward equal norms. A is overwritten. The
+/// scaling iteration cannot converge on a NaN or Inf, so a non-finite
+/// row/column norm stops it with info = -3, as reference xGEBAL >= 3.5
+/// does; A is then left partially balanced.
 template <Scalar T>
 BalanceInfo<real_t<T>> gebal(idx n, T* a, idx lda) {
   using R = real_t<T>;
@@ -140,6 +144,12 @@ BalanceInfo<real_t<T>> gebal(idx n, T* a, idx lda) {
       R ra(0);
       for (idx j = 0; j < n; ++j) {
         ra = std::max(ra, abs1(at(i, j)));
+      }
+      // c and r skip the diagonal and max() drops a NaN, so the diagonal
+      // is tested on its own.
+      if (!std::isfinite(c + r + ca + ra + abs1(at(i, i)))) {
+        out.info = -3;
+        return out;
       }
       if (c == R(0) || r == R(0)) {
         continue;
@@ -1173,7 +1183,9 @@ void trevc(idx n, const R* t, idx ldt, const R* wr, const R* wi, R* vl,
 /// Driver: eigenvalues and optional right/left eigenvectors of a general
 /// real matrix (xGEEV). Eigenvalues come out as (wr, wi) pairs; complex
 /// eigenvectors use the packed real/imaginary column convention of trevc.
-/// Returns 0 or >0 if the QR iteration failed at that eigenvalue.
+/// Returns 0, >0 if the QR iteration failed at that eigenvalue, or -4 if
+/// balancing met a NaN or Inf in A (gebal info -3; the outputs are then
+/// unspecified).
 template <RealScalar R>
 idx geev(Job jobvl, Job jobvr, idx n, R* a, idx lda, R* wr, R* wi, R* vl,
          idx ldvl, R* vr, idx ldvr) {
@@ -1181,6 +1193,9 @@ idx geev(Job jobvl, Job jobvr, idx n, R* a, idx lda, R* wr, R* wi, R* vl,
     return 0;
   }
   auto bal = gebal(n, a, lda);
+  if (bal.info != 0) {
+    return -4;  // A holds a NaN or Inf
+  }
   std::vector<R> tau(static_cast<std::size_t>(std::max<idx>(n - 1, 1)));
   gehrd(n, bal.ilo, bal.ihi, a, lda, tau.data());
   const bool wantv = jobvl == Job::Vec || jobvr == Job::Vec;
@@ -1219,7 +1234,8 @@ idx geev(Job jobvl, Job jobvr, idx n, R* a, idx lda, R* wr, R* wi, R* vl,
   return 0;
 }
 
-/// Driver: complex eigenvalues/eigenvectors (xGEEV, C/Z types).
+/// Driver: complex eigenvalues/eigenvectors (xGEEV, C/Z types). INFO as
+/// for the real driver.
 template <ComplexScalar T>
 idx geev(Job jobvl, Job jobvr, idx n, T* a, idx lda, T* w, T* vl, idx ldvl,
          T* vr, idx ldvr) {
@@ -1227,6 +1243,9 @@ idx geev(Job jobvl, Job jobvr, idx n, T* a, idx lda, T* w, T* vl, idx ldvl,
     return 0;
   }
   auto bal = gebal(n, a, lda);
+  if (bal.info != 0) {
+    return -4;  // A holds a NaN or Inf
+  }
   std::vector<T> tau(static_cast<std::size_t>(std::max<idx>(n - 1, 1)));
   gehrd(n, bal.ilo, bal.ihi, a, lda, tau.data());
   const bool wantv = jobvl == Job::Vec || jobvr == Job::Vec;

@@ -12,7 +12,10 @@
 //            with `conn_inflight` jobs already in flight gets a wire-level
 //            rejection (Result with info = serve::kInfoRejected) without
 //            touching the server — the per-connection admission layer in
-//            front of the server-wide queue_depth bound. A malformed or
+//            front of the server-wide queue_depth bound. A job's slot is
+//            released when its result is encoded, before the send, so a
+//            client with at most conn_inflight jobs outstanding (results
+//            not yet received) is never rejected. A malformed or
 //            oversized frame drops the connection (the wire contract).
 //   writer — drains completed jobs in completion order (results stream
 //            back out-of-order relative to submission, tagged by the

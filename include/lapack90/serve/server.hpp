@@ -18,9 +18,11 @@
 //                batch layer would run them serial-outer anyway, and
 //                holding a large solve back only adds latency.
 //   execution  — each flush is one la::batch ragged-descriptor driver
-//                call issued from the dispatcher thread, so the PR-1
-//                worker pool parallelizes *inside* the batch call and is
-//                never oversubscribed by competing teams. Per-entry INFO
+//                call issued from the dispatcher thread. A flush too small
+//                to pay for a team runs on the dispatcher itself; a larger
+//                one is parallelized *inside* the batch call by the
+//                worker pool, which is never oversubscribed by competing
+//                teams (batch/schedule.hpp). Per-entry INFO
 //                flows back through the units into the per-job aggregate
 //                (first failing entry, batch-driver rule), and -100
 //                workspace injections mark the affected entries exactly

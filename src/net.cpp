@@ -192,7 +192,7 @@ struct Listener::Impl {
   struct ConnState {
     Impl* owner = nullptr;
     int fd = -1;  // const after construction; closed by join_conn only
-    std::atomic<idx> inflight{0};  // submitted, not yet popped by writer
+    std::atomic<idx> inflight{0};  // submitted, result not yet encoded
     std::mutex wmu;
     std::condition_variable wcv;
     std::deque<ReadyItem> ready;  // guarded by wmu
@@ -381,7 +381,7 @@ struct Listener::Impl {
       return false;
     }
     n_frames_in.fetch_add(1, std::memory_order_relaxed);
-    if (st->inflight.load(std::memory_order_relaxed) >= cfg.conn_inflight) {
+    if (st->inflight.load(std::memory_order_acquire) >= cfg.conn_inflight) {
       // Per-connection admission: turn the job away at the wire without
       // touching the compute server.
       n_conn_rejects.fetch_add(1, std::memory_order_relaxed);
@@ -471,27 +471,29 @@ struct Listener::Impl {
         local.swap(st->ready);
       }
       wbuf.clear();
-      for (const ReadyItem& it : local) {
+      idx done = 0;
+      for (ReadyItem& it : local) {
         encode_item(wbuf, it, ents);
+        if (it.jd != nullptr) {
+          ++done;
+        }
+      }
+      const std::size_t frames = local.size();
+      local.clear();  // the results live in wbuf now: free the job storage
+      // Release the slots before the send: once a client holds a result it
+      // may resubmit at once, and a client with at most conn_inflight jobs
+      // outstanding must never be rejected. The release pairs with the
+      // reader's acquire load at admission.
+      if (done > 0) {
+        st->inflight.fetch_sub(done, std::memory_order_release);
       }
       if (!st->dead.load(std::memory_order_relaxed)) {
         if (send_all(fd, wbuf.data(), wbuf.size())) {
-          n_frames_out.fetch_add(local.size(), std::memory_order_relaxed);
+          n_frames_out.fetch_add(frames, std::memory_order_relaxed);
         } else {
           st->dead.store(true, std::memory_order_relaxed);
           ::shutdown(fd, SHUT_RDWR);  // wake the reader too
         }
-      }
-      idx done = 0;
-      for (ReadyItem& it : local) {
-        if (it.jd != nullptr) {
-          ++done;
-        }
-        it.jd.reset();  // release job storage promptly
-      }
-      local.clear();
-      if (done > 0) {
-        st->inflight.fetch_sub(done, std::memory_order_relaxed);
       }
     }
     st->mark_part_done();

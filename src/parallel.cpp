@@ -1,25 +1,23 @@
 // Thread runtime for the Level-3 BLAS — see include/lapack90/core/parallel.hpp.
 //
-// Two interchangeable backends sit behind detail::parallel_run:
-//   * OpenMP (LAPACK90_HAVE_OPENMP): a parallel region with a dynamically
-//     scheduled chunk loop — the runtime we expect on HPC toolchains.
-//   * A persistent std::thread pool, spun up lazily on first use, for
-//     builds without an OpenMP runtime. The calling thread participates as
-//     tid 0; top-level parallel_run calls are serialized against each
-//     other (one team at a time), matching the single-team OpenMP shape.
+// One backend sits behind detail::parallel_run: a persistent std::thread
+// pool of hardware_threads() - 1 workers, spun up lazily on first use. The
+// calling thread participates as tid 0, so a team never exceeds the
+// hardware thread count. There is one team: a top-level call that finds
+// it busy runs its chunks serially on its own thread instead of queueing
+// behind the other call (a serve dispatcher never waits out an
+// application's dense solve). The caller waits only for the workers that
+// joined before it ran out of chunks, never for a late wake-up.
 
 #include "lapack90/core/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
+#include <cstdint>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#ifdef LAPACK90_HAVE_OPENMP
-#include <omp.h>
-#endif
 
 namespace la {
 
@@ -29,64 +27,31 @@ idx hardware_threads() noexcept {
 }
 
 const char* thread_backend_name() noexcept {
-#ifdef LAPACK90_HAVE_OPENMP
-  return "openmp";
-#else
   return hardware_threads() > 1 ? "std::thread" : "serial";
-#endif
 }
 
 namespace detail {
 
 namespace {
 
-idx env_thread_count(const char* name) noexcept {
-  // Shared hardened reader (see detail::env_knob): a malformed or absurd
-  // LAPACK90_NUM_THREADS / OMP_NUM_THREADS falls back to 0 = "unset"
-  // rather than, e.g., LONG_MAX truncated to a negative team size.
-  return env_knob(name, idx{1} << 15, 0);
-}
-
 thread_local bool t_in_parallel = false;
 
 }  // namespace
 
 idx default_thread_count() noexcept {
+  // Shared hardened reader (see detail::env_knob): a malformed or absurd
+  // LAPACK90_NUM_THREADS falls back to hardware concurrency rather than,
+  // e.g., LONG_MAX truncated to a negative team size.
   static const idx cached = [] {
-    if (const idx n = env_thread_count("LAPACK90_NUM_THREADS")) {
-      return n;
-    }
-    if (const idx n = env_thread_count("OMP_NUM_THREADS")) {
-      return n;
-    }
-    return hardware_threads();
+    const idx n = env_knob("LAPACK90_NUM_THREADS", idx{1} << 15, 0);
+    return n > 0 ? n : hardware_threads();
   }();
   return cached;
 }
 
 bool in_parallel_region() noexcept {
-#ifdef LAPACK90_HAVE_OPENMP
-  return t_in_parallel || omp_in_parallel() != 0;
-#else
   return t_in_parallel;
-#endif
 }
-
-#ifdef LAPACK90_HAVE_OPENMP
-
-void parallel_run(idx nchunks, idx nthreads,
-                  const std::function<void(idx, int)>& body) {
-#pragma omp parallel num_threads(static_cast<int>(nthreads))
-  {
-    const int tid = omp_get_thread_num();
-#pragma omp for schedule(dynamic, 1)
-    for (idx i = 0; i < nchunks; ++i) {
-      body(i, tid);
-    }
-  }
-}
-
-#else  // std::thread pool fallback
 
 namespace {
 
@@ -97,10 +62,14 @@ class ThreadPool {
     return pool;
   }
 
-  void run(idx nchunks, idx nthreads,
-           const std::function<void(idx, int)>& body) {
-    // One team at a time; concurrent top-level callers queue up here.
-    std::lock_guard<std::mutex> team(team_mutex_);
+  /// Run the chunks on the team. Returns false, having run nothing, when
+  /// another top-level call holds the team.
+  bool try_run(idx nchunks, idx nthreads,
+               const std::function<void(idx, int)>& body) {
+    std::unique_lock<std::mutex> team(team_mutex_, std::try_to_lock);
+    if (!team.owns_lock()) {
+      return false;
+    }
     const idx want = std::min<idx>(nthreads - 1,
                                    static_cast<idx>(workers_.size()));
     {
@@ -109,7 +78,7 @@ class ThreadPool {
       nchunks_ = nchunks;
       next_.store(0, std::memory_order_relaxed);
       participants_ = want;
-      remaining_ = want;
+      open_ = true;
       ++generation_;
     }
     work_cv_.notify_all();
@@ -117,9 +86,15 @@ class ThreadPool {
     t_in_parallel = true;
     drain(0);
     t_in_parallel = false;
+    // Every chunk is claimed. Close the team so a worker that wakes from
+    // now on goes back to sleep without touching body_, and wait only for
+    // the workers already inside drain(): a slow wake-up never holds the
+    // caller.
     std::unique_lock<std::mutex> lk(mutex_);
-    done_cv_.wait(lk, [&] { return remaining_ == 0; });
+    open_ = false;
+    done_cv_.wait(lk, [&] { return active_ == 0; });
     body_ = nullptr;
+    return true;
   }
 
  private:
@@ -160,12 +135,16 @@ class ThreadPool {
         return;
       }
       seen = generation_;
+      if (!open_) {
+        continue;  // woke after the caller claimed every chunk
+      }
+      ++active_;
       lk.unlock();
       t_in_parallel = true;
       drain(windex + 1);
       t_in_parallel = false;
       lk.lock();
-      if (--remaining_ == 0) {
+      if (--active_ == 0) {
         done_cv_.notify_all();
       }
     }
@@ -180,8 +159,9 @@ class ThreadPool {
   std::atomic<idx> next_{0};
   idx nchunks_ = 0;
   idx participants_ = 0;
-  idx remaining_ = 0;
+  idx active_ = 0;  // workers inside drain() for the current generation
   std::uint64_t generation_ = 0;
+  bool open_ = false;  // the current generation still admits workers
   bool stop_ = false;
 };
 
@@ -189,17 +169,14 @@ class ThreadPool {
 
 void parallel_run(idx nchunks, idx nthreads,
                   const std::function<void(idx, int)>& body) {
-  ThreadPool& pool = ThreadPool::instance();
-  if (hardware_threads() <= 1 || nthreads <= 1) {
-    for (idx i = 0; i < nchunks; ++i) {
-      body(i, 0);
-    }
+  if (hardware_threads() > 1 && nthreads > 1 &&
+      ThreadPool::instance().try_run(nchunks, nthreads, body)) {
     return;
   }
-  pool.run(nchunks, nthreads, body);
+  for (idx i = 0; i < nchunks; ++i) {
+    body(i, 0);
+  }
 }
-
-#endif  // LAPACK90_HAVE_OPENMP
 
 }  // namespace detail
 }  // namespace la

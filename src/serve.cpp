@@ -8,17 +8,21 @@
 // the global admission mutex and the per-job promise. Each shard's
 // dispatcher is the sole executor for its queue: it pops everything
 // available, routes units into dtype/routine-keyed coalesce groups, and
-// issues one la::batch driver call per flush. The batch call fans its
-// entries out across the PR-1 worker pool internally (small-entry regime)
-// or runs serial-outer with the threaded Level-3 inside (large entries).
-// With the default single shard there is exactly one team at a time, so
-// serving never oversubscribes the kernel threads — the PR-8 behavior,
-// preserved exactly; with more shards the host is expected to have the
-// cores to back them. Because a job's completion block is only ever
-// updated from the shard that owns its units, its counters are relaxed
-// atomics for the cross-thread promise handoff only; the promise/future
-// pair provides the synchronizes-with edge that makes the solved operand
-// buffers and the per-entry INFO slots visible to the client.
+// issues one la::batch driver call per flush. The batch layer decides
+// where that flush runs (batch/schedule.hpp): a flush whose work estimate
+// count * max_dim^3 is below kTinyBatchWork (up to 63 8x8 solves) runs
+// on the dispatcher thread itself and wakes no team; larger flushes of
+// small entries fan out over the worker pool; large entries run
+// serial-outer with the threaded Level-3 inside. The pool has one team,
+// never larger than the hardware thread count; a flush that finds it busy
+// (another shard, or an application thread in a dense call) runs on its
+// own dispatcher thread instead of waiting, so no shard queues behind
+// another and serving starts no kernel threads beyond the pool's. Because
+// a job's completion block is only ever updated from the shard that owns
+// its units, its counters are relaxed atomics for the cross-thread promise
+// handoff only; the promise/future pair provides the synchronizes-with
+// edge that makes the solved operand buffers and the per-entry INFO slots
+// visible to the client.
 //
 // Admission (the queue_depth bound on in-flight entries) stays global
 // across shards — the bound is a memory/latency contract per server, not

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <span>
+#include <thread>
 #include <vector>
 
+#include "lapack90/tune/tune.hpp"
 #include "test_utils.hpp"
 
 namespace la::test {
@@ -27,6 +30,20 @@ void with_threads(idx nt, F&& f) {
   const idx prev = set_num_threads(nt);
   f();
   set_num_threads(prev);
+}
+
+/// True when for_each_entry hands a batch of this shape to the worker team
+/// rather than running it on the caller: the body then runs inside a
+/// parallel region. Meaningful only with a team (hardware_threads() > 1 and
+/// a worker count above one).
+[[nodiscard]] bool fans_out(idx count, idx max_dim) {
+  std::atomic<bool> inside{false};
+  batch::detail::for_each_entry(count, max_dim, [&](idx, int) {
+    if (la::detail::in_parallel_region()) {
+      inside.store(true, std::memory_order_relaxed);
+    }
+  });
+  return inside.load(std::memory_order_relaxed);
 }
 
 template <Scalar T>
@@ -97,8 +114,10 @@ TYPED_TEST(BatchTest, GesvMatchesSequentialLoopExactly) {
 
 TYPED_TEST(BatchTest, GesvBitIdenticalAcrossWorkerCounts) {
   using T = TypeParam;
+  // 32 * 13^3 is above kTinyBatchWork, so the batch fans out.
+  const idx count = 32, n = 13;
   std::vector<Matrix<T>> as0, bs0;
-  build_gesv_problems<T>(32, 9, 2, 202, as0, bs0);
+  build_gesv_problems<T>(count, n, 2, 202, as0, bs0);
   std::vector<Matrix<T>> base_a, base_b;
   with_threads(1, [&] {
     base_a = as0;
@@ -111,6 +130,9 @@ TYPED_TEST(BatchTest, GesvBitIdenticalAcrossWorkerCounts) {
   });
   for (idx nt : {idx{4}, idx{8}}) {
     with_threads(nt, [&] {
+      if (hardware_threads() > 1) {
+        ASSERT_TRUE(fans_out(count, n));
+      }
       std::vector<Matrix<T>> a = as0, b = bs0;
       std::vector<T*> pa, pb;
       std::vector<idx> da, db;
@@ -291,7 +313,8 @@ TYPED_TEST(BatchTest, GelsMatchesSequentialLoop) {
 
 TYPED_TEST(BatchTest, GelsBitIdenticalAcrossWorkerCounts) {
   using T = TypeParam;
-  const idx m = 8, n = 4, nrhs = 3, count = 16;
+  // 24 * 12^3 is above kTinyBatchWork, so the batch fans out.
+  const idx m = 12, n = 5, nrhs = 3, count = 24;
   Iseed seed = seed_for(909);
   std::vector<Matrix<T>> as0, bs0;
   for (idx i = 0; i < count; ++i) {
@@ -310,6 +333,9 @@ TYPED_TEST(BatchTest, GelsBitIdenticalAcrossWorkerCounts) {
   });
   for (idx nt : {idx{4}, idx{8}}) {
     with_threads(nt, [&] {
+      if (hardware_threads() > 1) {
+        ASSERT_TRUE(fans_out(count, m));
+      }
       std::vector<Matrix<T>> a = as0, b = bs0;
       std::vector<T*> pa, pb;
       std::vector<idx> da, db;
@@ -472,9 +498,14 @@ TYPED_TEST(BatchTest, GemmBatchBlockedPathMatchesNaive) {
 
 TYPED_TEST(BatchTest, SerialOuterRegimeMatchesFanOutExactly) {
   using T = TypeParam;
+  // 32 * 11^3 is above kTinyBatchWork, so the first run fans out.
+  const idx count = 32, n = 11;
   std::vector<Matrix<T>> as0, bs0;
-  build_gesv_problems<T>(12, 11, 2, 555, as0, bs0);
+  build_gesv_problems<T>(count, n, 2, 555, as0, bs0);
   std::vector<Matrix<T>> fan_a = as0, fan_b = bs0;
+  if (hardware_threads() > 1 && num_threads() > 1) {
+    ASSERT_TRUE(fans_out(count, n));
+  }
   {
     std::vector<T*> pa, pb;
     std::vector<idx> da, db;
@@ -497,6 +528,71 @@ TYPED_TEST(BatchTest, SerialOuterRegimeMatchesFanOutExactly) {
   set_env_override(EnvSpec::BatchGrain, EnvRoutine::gemm, prev);
   expect_identical(fan_a, ser_a);
   expect_identical(fan_b, ser_b);
+}
+
+TYPED_TEST(BatchTest, TinyWorkBatchRunsEntirelyOnCaller) {
+  using T = TypeParam;
+  // Forty 8x8 solves, a typical serve flush: work 40 * 8^3 = 20480 is below
+  // kTinyBatchWork (32768), so the batch must not wake a team even when one
+  // is available.
+  const idx count = 40, n = 8;
+  std::vector<Matrix<T>> as, bs;
+  build_gesv_problems<T>(count, n, 1, 777, as, bs);
+  std::vector<Matrix<T>> ra = as, rb = bs;
+  std::vector<idx> piv(n);
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    ASSERT_EQ(lapack::gesv(n, idx{1}, ra[i].data(), ra[i].ld(), piv.data(),
+                           rb[i].data(), rb[i].ld()),
+              0);
+  }
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<idx> elsewhere{0};
+  std::atomic<idx> infos{0};
+  with_threads(4, [&] {
+    batch::detail::for_each_entry(count, n, [&](idx i, int tid) {
+      if (std::this_thread::get_id() != caller || tid != 0 ||
+          la::detail::in_parallel_region()) {
+        elsewhere.fetch_add(1, std::memory_order_relaxed);
+      }
+      const auto ui = static_cast<std::size_t>(i);
+      std::vector<idx> p(n);
+      infos.fetch_add(lapack::gesv(n, idx{1}, as[ui].data(), as[ui].ld(),
+                                   p.data(), bs[ui].data(), bs[ui].ld()),
+                      std::memory_order_relaxed);
+    });
+  });
+  EXPECT_EQ(elsewhere.load(), 0);
+  EXPECT_EQ(infos.load(), 0);
+  expect_identical(ra, as);
+  expect_identical(rb, bs);
+
+  // The boundary: 64 * 8^3 == kTinyBatchWork fans out, 63 entries do not.
+  ASSERT_EQ(64 * n * n * n, batch::detail::kTinyBatchWork);
+  with_threads(4, [&] {
+    if (hardware_threads() > 1) {
+      EXPECT_TRUE(fans_out(64, n));
+    }
+    EXPECT_FALSE(fans_out(63, n));
+  });
+}
+
+TEST(TinyBatchTest, TunedGemmCrossoverDoesNotMoveTheGate) {
+  // The tuner writes gemm crossovers as low as a few hundred. The batch
+  // gate must ignore them: forty 8x8 solves stay on the caller under a
+  // tuned crossover of 288, and 64 of them still fan out under a huge one.
+  tune::TuningTable table;
+  ASSERT_TRUE(table.set(EnvSpec::Crossover, EnvRoutine::gemm, 288));
+  tune::install(table);
+  ASSERT_EQ(ilaenv(EnvSpec::Crossover, EnvRoutine::gemm, 0), 288);
+  with_threads(4, [&] { EXPECT_FALSE(fans_out(40, 8)); });
+  ASSERT_TRUE(table.set(EnvSpec::Crossover, EnvRoutine::gemm, idx{1} << 28));
+  tune::install(table);
+  with_threads(4, [&] {
+    if (hardware_threads() > 1) {
+      EXPECT_TRUE(fans_out(64, 8));
+    }
+  });
+  tune::clear();
 }
 
 // ---------------------------------------------------------------------------

@@ -328,6 +328,50 @@ TEST(NetAdmission, PerConnectionCapRejectsAtTheWire) {
             static_cast<std::uint64_t>(jobs - 1));
 }
 
+TEST(NetAdmission, ClientHoldingExactlyTheCapIsNeverRejected) {
+  // The per-connection contract: a client with at most conn_inflight jobs
+  // outstanding is never rejected. Keep exactly `cap` jobs in flight and
+  // resubmit the moment a result lands, so every admission check runs at
+  // the edge of the window. The listener must release a job's slot before
+  // its result reaches the socket; releasing it after the send lets the
+  // resubmission race the writer and bounce with kInfoRejected.
+  const idx n = 2, cap = 16, total = 6000;
+  ListenerConfig cfg;
+  cfg.conn_inflight = cap;
+  Loop lo(cfg);
+  std::vector<Matrix<double>> as0, bs0;
+  build_gesv_problems<double>(cap, n, 1, 9333, as0, bs0);
+  std::vector<Matrix<double>> as = as0, bs = bs0;
+  std::vector<Client::Ticket> ts(static_cast<std::size_t>(cap));
+  auto submit = [&](std::size_t slot) {
+    as[slot] = as0[slot];
+    bs[slot] = bs0[slot];
+    ts[slot] = lo.client.gesv_async(n, idx{1}, as[slot].data(),
+                                    as[slot].ld(), bs[slot].data(),
+                                    bs[slot].ld());
+    lo.client.flush();
+  };
+  for (std::size_t s = 0; s < ts.size(); ++s) {
+    submit(s);
+  }
+  idx ok = 0, rejected = 0;
+  for (idx k = 0; k < total; ++k) {
+    const auto slot = static_cast<std::size_t>(k % cap);
+    const JobResult r = lo.client.wait(ts[slot]);
+    if (r.info == 0) {
+      ++ok;
+    } else if (r.info == serve::kInfoRejected) {
+      ++rejected;
+    }
+    if (k + cap < total) {
+      submit(slot);
+    }
+  }
+  EXPECT_EQ(rejected, 0);
+  EXPECT_EQ(ok, total);
+  EXPECT_EQ(lo.listener.stats().conn_rejects, 0u);
+}
+
 TEST(NetAdmission, OversizedJobFailsTooLargeAndConnectionSurvives) {
   // max_frame chosen so the Submit frame fits but the Result frame would
   // not: its per-entry metadata is 32 bytes against the Submit's 16, so a

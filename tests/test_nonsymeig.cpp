@@ -3,6 +3,14 @@
 // generalized driver.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
+#include <limits>
+#include <thread>
+#include <utility>
+
 #include "test_utils.hpp"
 
 namespace la::test {
@@ -323,6 +331,118 @@ TYPED_TEST(NonsymRealTest, GegvSolvesGeneralizedProblem) {
       worst = std::max(worst, std::abs(av - lam * bv));
     }
     EXPECT_LE(worst, tol<R>(R(10000)) * scale);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// non-finite input: balancing must stop, the drivers must return INFO
+
+/// Run fn on its own thread and require it to return within `limit`. A
+/// hung call cannot be unwound or joined, so a timeout reports and ends
+/// the process.
+template <class F>
+void within_timeout(const char* what, F&& fn,
+                    std::chrono::seconds limit = std::chrono::seconds(10)) {
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread runner([&] {
+    fn();
+    done.set_value();
+  });
+  if (finished.wait_for(limit) != std::future_status::ready) {
+    std::fprintf(stderr, "%s did not return within %lld s\n", what,
+                 static_cast<long long>(limit.count()));
+    std::_Exit(1);
+  }
+  runner.join();
+}
+
+template <class T>
+class NonsymNonFiniteTest : public ::testing::Test {};
+TYPED_TEST_SUITE(NonsymNonFiniteTest, AllTypes);
+
+TYPED_TEST(NonsymNonFiniteTest, BalancingAndEigendriversStopOnNanAndInf) {
+  using T = TypeParam;
+  using R = real_t<T>;
+  const idx n = 8;
+  Iseed seed = seed_for(171);
+  const Matrix<T> a0 = random_matrix<T>(n, n, seed);
+  // An off-diagonal and a diagonal position: the scaling loop's row and
+  // column sums skip the diagonal, so it needs its own check.
+  const std::pair<idx, idx> spots[] = {{5, 2}, {3, 3}};
+  for (const auto& [bi, bj] : spots) {
+    for (const R bad : {std::numeric_limits<R>::quiet_NaN(),
+                        std::numeric_limits<R>::infinity(),
+                        -std::numeric_limits<R>::infinity()}) {
+      SCOPED_TRACE(::testing::Message() << bad << " at (" << bi << "," << bj
+                                        << ")");
+      Matrix<T> a = a0;
+      a(bi, bj) = T(bad);
+
+      idx bal_info = 0;
+      Matrix<T> ab = a;
+      within_timeout("gebal", [&] {
+        bal_info = lapack::gebal(n, ab.data(), ab.ld()).info;
+      });
+      EXPECT_EQ(bal_info, -3);
+
+      idx geev_info = 0;
+      idx geevx_info = 0;
+      idx f90_info = 0;
+      idx f90x_info = 0;
+      Matrix<T> ag = a, ax = a, af = a, afx = a;
+      Matrix<T> vl(n, n), vr(n, n);
+      std::vector<R> scale(n), rconde(n), rcondv(n);
+      idx ilo = 0, ihi = 0;
+      R abnrm(0);
+      if constexpr (is_complex_v<T>) {
+        std::vector<T> w(n);
+        Vector<T> wv(n);
+        within_timeout("geev", [&] {
+          geev_info = lapack::geev(Job::Vec, Job::Vec, n, ag.data(), ag.ld(),
+                                   w.data(), vl.data(), vl.ld(), vr.data(),
+                                   vr.ld());
+        });
+        within_timeout("geevx", [&] {
+          geevx_info = lapack::geevx(Job::Vec, Job::Vec, n, ax.data(), ax.ld(),
+                                     w.data(), vl.data(), vl.ld(), vr.data(),
+                                     vr.ld(), ilo, ihi, scale.data(), abnrm,
+                                     rconde.data(), rcondv.data());
+        });
+        within_timeout("LA_GEEV", [&] {
+          f90::geev(af, wv, nullptr, nullptr, &f90_info);
+        });
+        within_timeout("LA_GEEVX", [&] {
+          f90::geevx(afx, wv, nullptr, nullptr, nullptr, nullptr, {}, nullptr,
+                     {}, {}, &f90x_info);
+        });
+      } else {
+        std::vector<R> wr(n), wi(n);
+        Vector<R> wrv(n), wiv(n);
+        within_timeout("geev", [&] {
+          geev_info = lapack::geev(Job::Vec, Job::Vec, n, ag.data(), ag.ld(),
+                                   wr.data(), wi.data(), vl.data(), vl.ld(),
+                                   vr.data(), vr.ld());
+        });
+        within_timeout("geevx", [&] {
+          geevx_info = lapack::geevx(Job::Vec, Job::Vec, n, ax.data(), ax.ld(),
+                                     wr.data(), wi.data(), vl.data(), vl.ld(),
+                                     vr.data(), vr.ld(), ilo, ihi, scale.data(),
+                                     abnrm, rconde.data(), rcondv.data());
+        });
+        within_timeout("LA_GEEV", [&] {
+          f90::geev(af, wrv, wiv, nullptr, nullptr, &f90_info);
+        });
+        within_timeout("LA_GEEVX", [&] {
+          f90::geevx(afx, wrv, wiv, nullptr, nullptr, nullptr, nullptr, {},
+                     nullptr, {}, {}, &f90x_info);
+        });
+      }
+      EXPECT_EQ(geev_info, -4);   // argument 4 of xGEEV: A
+      EXPECT_EQ(geevx_info, -4);
+      EXPECT_EQ(f90_info, -1);    // argument 1 of LA_GEEV: A
+      EXPECT_EQ(f90x_info, -1);
+    }
   }
 }
 

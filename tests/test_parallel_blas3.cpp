@@ -4,6 +4,11 @@
 // contract — results must be bit-identical for every worker count.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cmath>
+#include <future>
+#include <thread>
 #include <vector>
 
 #include "test_utils.hpp"
@@ -424,6 +429,93 @@ TEST_F(ThreadInvarianceTest, FactorizationsBitIdenticalAcrossWorkerCounts) {
   expect_bitwise_equal(ch1, ch4);
   expect_bitwise_equal(qr1, qr4);
   EXPECT_EQ(tau1, tau4);
+}
+
+TEST_F(ThreadInvarianceTest, ConcurrentTopLevelParallelForFromTwoThreads) {
+  // The serve dispatcher's shape: a top-level parallel_for issued from a
+  // non-main std::thread while the main thread runs one of its own. The
+  // pool has one team; the call that finds it busy runs on its caller.
+  // Either way every chunk of every loop must run exactly once and each
+  // loop's output must equal its serial run.
+  set_num_threads(4);
+  const idx nchunks = 97;
+  const int reps = 40;
+  auto chunk_value = [](idx i, double salt) {
+    double v = salt + static_cast<double>(i);
+    for (int r = 0; r < 200; ++r) {
+      v = std::sin(v) + salt;
+    }
+    return v;
+  };
+  struct Loop {
+    std::vector<double> out;
+    std::vector<std::atomic<int>> hits;
+    explicit Loop(idx n)
+        : out(static_cast<std::size_t>(n)), hits(static_cast<std::size_t>(n)) {}
+  };
+  Loop main_loop(nchunks);
+  Loop side_loop(nchunks);
+  auto run = [&](Loop& loop, double salt) {
+    for (int r = 0; r < reps; ++r) {
+      parallel_for(nchunks, [&](idx i, int) {
+        const auto ui = static_cast<std::size_t>(i);
+        loop.hits[ui].fetch_add(1, std::memory_order_relaxed);
+        loop.out[ui] = chunk_value(i, salt);
+      });
+    }
+  };
+  std::thread dispatcher([&] { run(side_loop, 2.0); });
+  run(main_loop, 1.0);
+  dispatcher.join();
+  EXPECT_FALSE(la::detail::in_parallel_region());
+  for (idx i = 0; i < nchunks; ++i) {
+    const auto ui = static_cast<std::size_t>(i);
+    EXPECT_EQ(main_loop.hits[ui].load(), reps) << "main chunk " << i;
+    EXPECT_EQ(side_loop.hits[ui].load(), reps) << "side chunk " << i;
+    EXPECT_EQ(main_loop.out[ui], chunk_value(i, 1.0)) << "main chunk " << i;
+    EXPECT_EQ(side_loop.out[ui], chunk_value(i, 2.0)) << "side chunk " << i;
+  }
+}
+
+TEST_F(ThreadInvarianceTest, CallFindingTheTeamBusyRunsOnItsCaller) {
+  // A serve dispatcher must not queue behind an application's long dense
+  // call: while one top-level parallel_for holds the team, a second
+  // thread's call runs every chunk itself and returns.
+  set_num_threads(4);
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  std::thread app([&] {
+    parallel_for(8, [&](idx, int) {
+      holding.store(true);
+      while (!release.load()) {
+        std::this_thread::yield();
+      }
+    });
+  });
+  while (!holding.load()) {
+    std::this_thread::yield();
+  }
+  const idx nchunks = 16;
+  std::vector<std::thread::id> ran(static_cast<std::size_t>(nchunks));
+  std::thread::id caller;
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread dispatcher([&] {
+    caller = std::this_thread::get_id();
+    parallel_for(nchunks, [&](idx i, int) {
+      ran[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+    });
+    done.set_value();
+  });
+  const bool returned = finished.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  release.store(true);  // on failure this lets the queued call finish
+  dispatcher.join();
+  app.join();
+  EXPECT_TRUE(returned) << "the second call waited for the busy team";
+  for (idx i = 0; i < nchunks; ++i) {
+    EXPECT_EQ(ran[static_cast<std::size_t>(i)], caller) << "chunk " << i;
+  }
 }
 
 TEST_F(ThreadInvarianceTest, NumThreadsOverrideRoundTrips) {
