@@ -233,21 +233,22 @@ int run_smoke() {
   la::set_num_threads(0);
   const bool identical_threads = pool.b == ref_b && identical_loop;
 
-  auto best_of = [&](int reps, auto&& f) {
-    double best = 1e300;
-    for (int r = 0; r < reps; ++r) {
-      pool.restore();
-      const auto t0 = clock::now();
-      f();
-      const std::chrono::duration<double> dt = clock::now() - t0;
-      best = std::min(best, dt.count());
-    }
-    return best;
+  auto time_once = [&](auto&& f) {
+    pool.restore();
+    const auto t0 = clock::now();
+    f();
+    const std::chrono::duration<double> dt = clock::now() - t0;
+    return dt.count();
   };
-  la::set_num_threads(1);
-  const double t_batch = best_of(5, [&] { pool.run_batch(); });
-  la::set_num_threads(0);
-  const double t_loop = best_of(5, [&] { pool.run_loop(); });
+  // Best of 25 short runs per arm, alternating the arms so a burst of
+  // background load lands on both instead of on one block of runs.
+  double t_batch = 1e300, t_loop = 1e300;
+  for (int r = 0; r < 25; ++r) {
+    la::set_num_threads(1);
+    t_batch = std::min(t_batch, time_once([&] { pool.run_batch(); }));
+    la::set_num_threads(0);
+    t_loop = std::min(t_loop, time_once([&] { pool.run_loop(); }));
+  }
   const bool fast_enough = t_batch <= t_loop * 1.5;
 
   std::printf(

@@ -1,8 +1,9 @@
 // Shared bench entry point: run google-benchmark with a machine-readable
 // JSON report on by default. Unless the caller passes --benchmark_out
-// themselves, results land in the named BENCH_*.json next to the binary,
-// so CI and the roadmap's reproduced-experiment scripts can diff runs
-// without scraping the console table.
+// themselves, results land in the named BENCH_*.json in the directory that
+// holds the binary (the build tree), whatever the working directory, so a
+// run from the source tree never overwrites the committed baselines and
+// scripts can diff runs without scraping the console table.
 //
 // Beyond plain benchmark runs the entry point understands:
 //   --tune [tune args...]   run the la::tune sweep (see tune::tune_main)
@@ -13,7 +14,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "lapack90/core/env.hpp"
@@ -64,6 +67,18 @@ inline void add_machine_context() {
   }
 }
 
+/// `name` in the directory holding the running executable: /proc/self/exe
+/// where it exists, else argv[0] resolved against the working directory.
+inline std::string beside_binary(const char* argv0, const char* name) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  fs::path exe = fs::read_symlink("/proc/self/exe", ec);
+  if (ec) {
+    exe = fs::absolute(argv0, ec);
+  }
+  return (exe.parent_path() / name).string();
+}
+
 /// Shared main. `check_filter` is the curated --benchmark_filter regex the
 /// perf gate re-measures in --check mode (nullptr disables --check for
 /// this binary).
@@ -91,7 +106,8 @@ inline int run_with_json_default(int argc, char** argv,
       std::fprintf(stderr, "usage: %s --check BASELINE.json\n", argv[0]);
       return 2;
     }
-    const std::string fresh = std::string(default_out) + ".check";
+    const std::string fresh =
+        beside_binary(argv[0], default_out) + ".check";
     return run_perf_check(argv[0], argv[2], check_filter, fresh.c_str());
   }
   std::vector<char*> args(argv, argv + argc);
@@ -104,7 +120,7 @@ inline int run_with_json_default(int argc, char** argv,
   std::string out_flag;
   std::string fmt_flag = "--benchmark_out_format=json";
   if (!has_out) {
-    out_flag = std::string("--benchmark_out=") + default_out;
+    out_flag = "--benchmark_out=" + beside_binary(argv[0], default_out);
     args.push_back(out_flag.data());
     args.push_back(fmt_flag.data());
   }

@@ -3,31 +3,33 @@
 // A small dependency-graph task scheduler for the tiled factorizations
 // (lapack/tiled.hpp). A TaskGraph is built once per factorization call —
 // tile tasks with atomic dependency counts and explicit edges — and then
-// drained by the existing PR-1 thread pool via detail::parallel_run; the
+// drained by the existing thread pool via detail::parallel_run; the
 // scheduler spawns no threads of its own.
 //
 // Design points:
 //
 //  * The graph is static: all tasks and edges are added single-threaded
 //    before run(). add()/add_edge() are not thread-safe; run() is.
-//  * Two priority levels. High-priority tasks (panel factorizations and
-//    the updates feeding the next panel) are drained before normal ones,
-//    which is what produces panel lookahead: as soon as the tiles feeding
-//    panel k+1 finish, the panel factors while step-k trailing updates
-//    are still in flight. Within a level the queue is FIFO in insertion
-//    order, so a serial drain replays the program order of the builder.
+//  * Edges point forward (add_edge throws unless before < after), so
+//    insertion order is topological and no cycle can be built. The serial
+//    path — a one-worker team, or a run nested in a parallel region — is a
+//    plain loop over the tasks in that order, with no mutex or ready
+//    queue: the builder's program order, and the oracle the parallel drain
+//    is tested against.
+//  * Two priority levels for the parallel drain. High-priority tasks
+//    (panel factorizations and the updates feeding the next panel) are
+//    taken before normal ones, which is what produces panel lookahead: as
+//    soon as the tiles feeding panel k+1 finish, the panel factors while
+//    step-k trailing updates are still in flight.
 //  * Determinism: the scheduler never splits or reorders a task's body,
 //    so any topological execution order yields identical bits as long as
 //    every pair of tasks touching the same memory is ordered by a path of
 //    edges. The builders in lapack/tiled.hpp maintain exactly that
 //    invariant (see DESIGN.md section 14).
 //  * Cancellation: cancel(status) latches the first non-zero status and
-//    makes every not-yet-executed task a no-op. Dependency counters are
-//    still drained, so workers always terminate — a failed tile-workspace
-//    probe surfaces INFO=-100 without deadlocking the pool.
-//  * Nesting: when the graph runs inside an existing parallel region (or
-//    with a one-worker team) it drains serially on the calling thread in
-//    deterministic priority-FIFO order.
+//    makes every not-yet-executed task a no-op. The parallel drain still
+//    releases dependency counters, so workers always terminate — a failed
+//    tile-workspace probe surfaces INFO=-100 without deadlocking the pool.
 #pragma once
 
 #include <atomic>
@@ -35,6 +37,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -64,8 +67,14 @@ class TaskGraph {
   }
 
   /// Declare that `after` must not start until `before` has finished.
-  /// Build phase only.
+  /// Build phase only. Edges must point forward (0 <= before < after <
+  /// size()); anything else throws std::invalid_argument.
   void add_edge(TaskId before, TaskId after) {
+    if (before < 0 || before >= after || after >= size()) {
+      throw std::invalid_argument(
+          "TaskGraph::add_edge: edges must run from an earlier task to a "
+          "later one");
+    }
     nodes_[static_cast<std::size_t>(before)].succ.push_back(after);
     nodes_[static_cast<std::size_t>(after)].deps.fetch_add(
         1, std::memory_order_relaxed);
@@ -91,11 +100,24 @@ class TaskGraph {
   }
 
   /// Execute the graph to completion and return status(). Workers come
-  /// from the existing thread pool; an empty graph returns immediately
-  /// without touching the pool.
+  /// from the existing thread pool; the serial path (one worker, or nested
+  /// in a parallel region) runs the tasks in insertion order on the
+  /// calling thread; an empty graph returns immediately.
   idx run() {
     const idx ntasks = size();
     if (ntasks == 0) {
+      return status();
+    }
+    const idx nt = std::min<idx>(num_threads(), ntasks);
+    if (nt <= 1 || detail::in_parallel_region()) {
+      // Program order: every edge points forward, so insertion order is
+      // topological.
+      for (Node& node : nodes_) {
+        if (cancelled()) {
+          break;
+        }
+        node.fn();
+      }
       return status();
     }
     remaining_.store(ntasks, std::memory_order_relaxed);
@@ -106,12 +128,7 @@ class TaskGraph {
         push_ready(t);
       }
     }
-    const idx nt = std::min<idx>(num_threads(), ntasks);
-    if (nt <= 1 || detail::in_parallel_region()) {
-      drain_serial();
-    } else {
-      detail::parallel_run(nt, nt, [this](idx, int) { worker(); });
-    }
+    detail::parallel_run(nt, nt, [this](idx, int) { worker(); });
     return status();
   }
 
@@ -141,8 +158,7 @@ class TaskGraph {
   }
 
   /// Run one task body (unless cancelled), then release its successors.
-  /// Returns true when this was the last task of the graph.
-  bool execute(TaskId t) {
+  void execute(TaskId t) {
     Node& node = nodes_[static_cast<std::size_t>(t)];
     if (!cancelled_.load(std::memory_order_acquire)) {
       node.fn();
@@ -172,7 +188,6 @@ class TaskGraph {
         cv_.notify_one();
       }
     }
-    return finished;
   }
 
   /// Pool worker: pull ready tasks until the graph is drained.
@@ -187,24 +202,6 @@ class TaskGraph {
       lk.unlock();
       execute(t);
       lk.lock();
-    }
-  }
-
-  /// Deterministic serial drain on the calling thread (nested or
-  /// one-worker case): priority FIFO, program order within a level.
-  void drain_serial() {
-    for (;;) {
-      TaskId t;
-      {
-        std::lock_guard<std::mutex> lk(mutex_);
-        if (!have_ready()) {
-          return;  // done, or (malformed cyclic graph) nothing runnable
-        }
-        t = pop_ready();
-      }
-      if (execute(t)) {
-        return;
-      }
     }
   }
 

@@ -53,9 +53,10 @@ enum class EnvSpec : int {
   TileSize = 11,       ///< tile edge NB for the task-DAG tiled factorizations
                        ///< (extension; LAPACK90_TILE_NB)
   TileScheduler = 12,  ///< factorization scheduler: 1 = legacy fork-join
-                       ///< blocked path, 2 = tiled with a barrier per panel
-                       ///< step, 3 = tiled task-DAG with lookahead (default;
-                       ///< extension; LAPACK90_TILE_SCHEDULER)
+                       ///< blocked path, 3 = tiled task-DAG with lookahead
+                       ///< (default; 2 is retired and reads as 3). Set in
+                       ///< process with set_tile_scheduler or a tuning
+                       ///< file; no environment variable (extension)
   ServeQueueDepth = 13,  ///< serving subsystem admission bound: maximum
                          ///< admitted-but-uncompleted job entries per
                          ///< la::serve::Server before submissions are
@@ -132,8 +133,9 @@ namespace detail {
 [[nodiscard]] idx env_spec_max(EnvSpec spec) noexcept;
 
 /// Environment variable carrying this spec's pin, or nullptr when the spec
-/// has none (BlockSize/MinBlockSize/Crossover are builtin/tuning-file only;
-/// Threads resolves through the parallel runtime instead).
+/// has none (BlockSize/MinBlockSize/Crossover/TileScheduler are builtin,
+/// override or tuning-file only; Threads resolves through the parallel
+/// runtime instead).
 [[nodiscard]] const char* env_knob_name(EnvSpec spec) noexcept;
 
 /// Re-read every LAPACK90_* knob variable into the process cache. The cache

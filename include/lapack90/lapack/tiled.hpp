@@ -4,17 +4,16 @@
 // tile kernels (getrf_tile, trsm_tile, gemm_tile, herk_tile, larfb_tile)
 // scheduled by core/dag.hpp with panel lookahead — panel k+1 factors as
 // soon as the tiles feeding it drain, while step-k trailing updates are
-// still in flight. The legacy fork-join blocked paths remain selectable
-// via LAPACK90_TILE_SCHEDULER=1 for fallback and A/B benching, and a
-// barrier-per-step tiled mode (=2) runs the exact same tile kernels in the
-// same per-tile order, so it is bit-identical to the DAG (=3) and gives
-// the test suite a scheduler cross-check.
+// still in flight. The legacy fork-join blocked paths stay selectable via
+// set_tile_scheduler(TileScheduler::ForkJoin) for A/B benching.
 //
 // Determinism: a tile's value is produced by a fixed chain of kernel calls
 // (ordered by panel step), and the DAG builders order every pair of tasks
 // that touch overlapping memory with an explicit edge — so any topological
 // execution order, hence any worker count, yields identical bits per fixed
-// tile schedule. See DESIGN.md section 14 for the full argument.
+// tile schedule. Builders add edges only into the task just created, so
+// the one-worker run replays program order and is the oracle for the
+// parallel drain. See DESIGN.md section 14 for the full argument.
 //
 // Include order: the family headers (lu.hpp, cholesky.hpp, qr.hpp) include
 // lapack/tiled_fwd.hpp at the top (dispatch gate + forward declarations)
@@ -31,7 +30,6 @@
 #include "lapack90/core/dag.hpp"
 #include "lapack90/core/env.hpp"
 #include "lapack90/core/error.hpp"
-#include "lapack90/core/parallel.hpp"
 #include "lapack90/core/types.hpp"
 #include "lapack90/lapack/aux.hpp"
 #include "lapack90/lapack/cholesky.hpp"
@@ -67,6 +65,14 @@ struct PanelWorkTag {};  // geqr2 scratch inside tiled QR panel tasks
 struct LarfbWorkTag {};  // larfb scratch inside tiled QR update tasks
 
 constexpr TaskGraph::TaskId kNoTask = -1;
+
+/// Edge before -> after, skipped while `before` names no task yet.
+inline void edge_from(TaskGraph& g, TaskGraph::TaskId before,
+                      TaskGraph::TaskId after) {
+  if (before != kNoTask) {
+    g.add_edge(before, after);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // LU: PA = LU with partial pivoting across the full trailing rows.
@@ -136,64 +142,25 @@ struct LuTiles {
 };
 
 template <Scalar T>
-idx lu_run_barrier(LuTiles<T>& t) {
-  const idx steps = (t.k + t.nb - 1) / t.nb;
-  for (idx s = 0; s < steps; ++s) {
-    t.getrf_tile(s);
-    const idx j = t.j0(s) + t.jb(s);
-    const auto cols = tile_ranges(j, t.n, t.nb);
-    const auto rows = tile_ranges(j, t.m, t.nb);
-    parallel_for(static_cast<idx>(cols.size()),
-                 [&](idx ci, int) { t.trsm_tile(s, cols[ci]); });
-    const idx nc = static_cast<idx>(cols.size());
-    parallel_for(static_cast<idx>(rows.size()) * nc, [&](idx q, int) {
-      t.gemm_tile(s, rows[static_cast<std::size_t>(q / nc)],
-                  cols[static_cast<std::size_t>(q % nc)]);
-    });
-  }
-  t.left_swaps();
-  return t.info.load(std::memory_order_relaxed);
-}
-
-template <Scalar T>
 idx lu_run_dag(LuTiles<T>& t) {
   using TaskId = TaskGraph::TaskId;
   const idx nb = t.nb;
   const idx steps = (t.k + nb - 1) / nb;
-  const idx mt = (t.m + nb - 1) / nb;
-  const idx nt = (t.n + nb - 1) / nb;
+  const auto nt = static_cast<std::size_t>((t.n + nb - 1) / nb);
   TaskGraph g;
-  // Task ids of the previous step, indexed by global tile coordinates.
-  std::vector<TaskId> sprev(static_cast<std::size_t>(nt), kNoTask);
-  std::vector<std::vector<TaskId>> gprev(
-      static_cast<std::size_t>(mt),
-      std::vector<TaskId>(static_cast<std::size_t>(nt), kNoTask));
-  auto scur = sprev;
-  auto gcur = gprev;
+  // The latest writers of each column tile: one step's gemm updates, or
+  // its trsm when no rows lie below the panel.
+  std::vector<std::vector<TaskId>> writers(nt);
   for (idx s = 0; s < steps; ++s) {
     const idx j = t.j0(s) + t.jb(s);
     // Panel: ready once every step-(s-1) update of its column tile landed.
     const TaskId p =
         g.add([&t, s] { t.getrf_tile(s); }, TaskGraph::Priority::High);
-    if (s > 0) {
-      const std::size_t cp = static_cast<std::size_t>(t.j0(s) / nb);
-      bool any = false;
-      for (idx r = 0; r < mt; ++r) {
-        if (gprev[static_cast<std::size_t>(r)][cp] != kNoTask) {
-          g.add_edge(gprev[static_cast<std::size_t>(r)][cp], p);
-          any = true;
-        }
-      }
-      if (!any && sprev[cp] != kNoTask) {
-        g.add_edge(sprev[cp], p);
-      }
+    for (const TaskId w : writers[static_cast<std::size_t>(t.j0(s) / nb)]) {
+      g.add_edge(w, p);
     }
     const auto cols = tile_ranges(j, t.n, nb);
     const auto rows = tile_ranges(j, t.m, nb);
-    std::fill(scur.begin(), scur.end(), kNoTask);
-    for (auto& row : gcur) {
-      std::fill(row.begin(), row.end(), kNoTask);
-    }
     for (std::size_t ci = 0; ci < cols.size(); ++ci) {
       const Range c = cols[ci];
       const std::size_t ct = static_cast<std::size_t>(c.lo / nb);
@@ -203,28 +170,20 @@ idx lu_run_dag(LuTiles<T>& t) {
                               : TaskGraph::Priority::Normal;
       const TaskId sid = g.add([&t, s, c] { t.trsm_tile(s, c); }, pr);
       g.add_edge(p, sid);
-      if (s > 0) {
-        bool any = false;
-        for (idx r = 0; r < mt; ++r) {
-          if (gprev[static_cast<std::size_t>(r)][ct] != kNoTask) {
-            g.add_edge(gprev[static_cast<std::size_t>(r)][ct], sid);
-            any = true;
-          }
-        }
-        if (!any && sprev[ct] != kNoTask) {
-          g.add_edge(sprev[ct], sid);
-        }
+      for (const TaskId w : writers[ct]) {
+        g.add_edge(w, sid);
       }
-      scur[ct] = sid;
+      writers[ct].clear();
       for (const Range r : rows) {
         const TaskId gid =
             g.add([&t, s, r, c] { t.gemm_tile(s, r, c); }, pr);
         g.add_edge(sid, gid);
-        gcur[static_cast<std::size_t>(r.lo / nb)][ct] = gid;
+        writers[ct].push_back(gid);
+      }
+      if (rows.empty()) {
+        writers[ct].push_back(sid);
       }
     }
-    sprev.swap(scur);
-    gprev.swap(gcur);
   }
   g.run();
   t.left_swaps();
@@ -303,45 +262,16 @@ struct CholTiles {
 };
 
 template <Scalar T>
-idx chol_run_barrier(CholTiles<T>& t) {
-  const idx nt = (t.n + t.nb - 1) / t.nb;
-  for (idx kk = 0; kk < nt; ++kk) {
-    const idx fi = t.potrf_tile(kk);
-    if (fi != 0) {
-      return fi;
-    }
-    const idx rem = nt - kk - 1;
-    parallel_for(rem, [&](idx q, int) { t.trsm_tile(kk, kk + 1 + q); });
-    // All step-k updates (herk on the diagonal, gemm off it) in one sweep:
-    // pair q covers target tile (i, j), kk < j <= i.
-    parallel_for(rem * (rem + 1) / 2, [&](idx q, int) {
-      idx i = kk + 1, left = q;
-      while (left > i - kk - 1) {
-        left -= i - kk;
-        ++i;
-      }
-      const idx j = kk + 1 + left;
-      if (i == j) {
-        t.herk_tile(kk, i);
-      } else {
-        t.gemm_tile(kk, i, j);
-      }
-    });
-  }
-  return 0;
-}
-
-template <Scalar T>
 idx chol_run_dag(CholTiles<T>& t) {
   using TaskId = TaskGraph::TaskId;
+  const auto u = [](idx v) { return static_cast<std::size_t>(v); };
   const idx nt = (t.n + t.nb - 1) / t.nb;
   TaskGraph g;
   // Last writer chains per tile: diagonal (i,i) and off-diagonal (i,j).
-  std::vector<TaskId> ydiag(static_cast<std::size_t>(nt), kNoTask);
-  std::vector<std::vector<TaskId>> zoff(
-      static_cast<std::size_t>(nt),
-      std::vector<TaskId>(static_cast<std::size_t>(nt), kNoTask));
-  std::vector<TaskId> tid(static_cast<std::size_t>(nt), kNoTask);
+  std::vector<TaskId> ydiag(u(nt), kNoTask);
+  std::vector<std::vector<TaskId>> zoff(u(nt),
+                                        std::vector<TaskId>(u(nt), kNoTask));
+  std::vector<TaskId> tid(u(nt), kNoTask);
   for (idx kk = 0; kk < nt; ++kk) {
     const TaskId f = g.add(
         [&t, &g, kk] {
@@ -350,20 +280,13 @@ idx chol_run_dag(CholTiles<T>& t) {
           }
         },
         TaskGraph::Priority::High);
-    if (ydiag[static_cast<std::size_t>(kk)] != kNoTask) {
-      g.add_edge(ydiag[static_cast<std::size_t>(kk)], f);
-    }
+    edge_from(g, ydiag[u(kk)], f);
     for (idx i = kk + 1; i < nt; ++i) {
       const TaskId tt = g.add([&t, kk, i] { t.trsm_tile(kk, i); },
                               TaskGraph::Priority::High);
       g.add_edge(f, tt);
-      if (zoff[static_cast<std::size_t>(i)][static_cast<std::size_t>(kk)] !=
-          kNoTask) {
-        g.add_edge(
-            zoff[static_cast<std::size_t>(i)][static_cast<std::size_t>(kk)],
-            tt);
-      }
-      tid[static_cast<std::size_t>(i)] = tt;
+      edge_from(g, zoff[u(i)][u(kk)], tt);
+      tid[u(i)] = tt;
     }
     for (idx i = kk + 1; i < nt; ++i) {
       // The (k+1, k+1) diagonal update feeds the next panel: high priority
@@ -371,23 +294,16 @@ idx chol_run_dag(CholTiles<T>& t) {
       const TaskId y = g.add([&t, kk, i] { t.herk_tile(kk, i); },
                              i == kk + 1 ? TaskGraph::Priority::High
                                          : TaskGraph::Priority::Normal);
-      g.add_edge(tid[static_cast<std::size_t>(i)], y);
-      if (ydiag[static_cast<std::size_t>(i)] != kNoTask) {
-        g.add_edge(ydiag[static_cast<std::size_t>(i)], y);
-      }
-      ydiag[static_cast<std::size_t>(i)] = y;
+      g.add_edge(tid[u(i)], y);
+      edge_from(g, ydiag[u(i)], y);
+      ydiag[u(i)] = y;
       for (idx j = kk + 1; j < i; ++j) {
         const TaskId z = g.add([&t, kk, i, j] { t.gemm_tile(kk, i, j); },
                                TaskGraph::Priority::Normal);
-        g.add_edge(tid[static_cast<std::size_t>(i)], z);
-        g.add_edge(tid[static_cast<std::size_t>(j)], z);
-        if (zoff[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] !=
-            kNoTask) {
-          g.add_edge(
-              zoff[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)],
-              z);
-        }
-        zoff[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = z;
+        g.add_edge(tid[u(i)], z);
+        g.add_edge(tid[u(j)], z);
+        edge_from(g, zoff[u(i)][u(j)], z);
+        zoff[u(i)][u(j)] = z;
       }
     }
   }
@@ -410,7 +326,7 @@ struct QrTiles {
   T* tau;
   T* tstore;  // steps * nb * nb, T factor of step s at tstore + s*nb*nb
   std::atomic<idx> winfo{0};
-  TaskGraph* graph = nullptr;  // null in barrier mode
+  TaskGraph* graph = nullptr;  // the graph qr_run_dag is draining
 
   [[nodiscard]] T* at(idx i, idx j) const noexcept {
     return a + static_cast<std::size_t>(j) * lda + i;
@@ -420,8 +336,8 @@ struct QrTiles {
     return std::min<idx>(nb, k - s * nb);
   }
 
-  /// Workspace probe shared by both run modes: on injected failure, latch
-  /// INFO = -100 and cancel the rest of the graph (DAG mode).
+  /// Workspace probe: on injected failure, latch INFO = -100 and cancel
+  /// the rest of the graph.
   [[nodiscard]] bool workspace_fails() noexcept {
     if (!alloc_should_fail()) {
       return false;
@@ -429,9 +345,7 @@ struct QrTiles {
     idx expected = 0;
     winfo.compare_exchange_strong(expected, idx{-100},
                                   std::memory_order_relaxed);
-    if (graph != nullptr) {
-      graph->cancel(-100);
-    }
+    graph->cancel(-100);
     return true;
   }
 
@@ -466,21 +380,6 @@ struct QrTiles {
 };
 
 template <Scalar T>
-idx qr_run_barrier(QrTiles<T>& t) {
-  const idx steps = (t.k + t.nb - 1) / t.nb;
-  for (idx s = 0; s < steps; ++s) {
-    t.geqrf_tile(s);
-    const auto cols = tile_ranges(t.j0(s) + t.jb(s), t.n, t.nb);
-    parallel_for(static_cast<idx>(cols.size()),
-                 [&](idx ci, int) { t.larfb_tile(s, cols[ci]); });
-    if (t.winfo.load(std::memory_order_relaxed) != 0) {
-      break;
-    }
-  }
-  return t.winfo.load(std::memory_order_relaxed);
-}
-
-template <Scalar T>
 idx qr_run_dag(QrTiles<T>& t) {
   using TaskId = TaskGraph::TaskId;
   const idx nb = t.nb;
@@ -488,19 +387,14 @@ idx qr_run_dag(QrTiles<T>& t) {
   const idx nt = (t.n + nb - 1) / nb;
   TaskGraph g;
   t.graph = &g;
-  std::vector<TaskId> uprev(static_cast<std::size_t>(nt), kNoTask);
-  auto ucur = uprev;
+  // The latest update of each column tile (every step updates every
+  // column right of its panel).
+  std::vector<TaskId> last(static_cast<std::size_t>(nt), kNoTask);
   for (idx s = 0; s < steps; ++s) {
     const TaskId p =
         g.add([&t, s] { t.geqrf_tile(s); }, TaskGraph::Priority::High);
-    if (s > 0) {
-      const std::size_t cp = static_cast<std::size_t>(t.j0(s) / nb);
-      if (uprev[cp] != kNoTask) {
-        g.add_edge(uprev[cp], p);
-      }
-    }
+    edge_from(g, last[static_cast<std::size_t>(t.j0(s) / nb)], p);
     const auto cols = tile_ranges(t.j0(s) + t.jb(s), t.n, nb);
-    std::fill(ucur.begin(), ucur.end(), kNoTask);
     for (std::size_t ci = 0; ci < cols.size(); ++ci) {
       const Range c = cols[ci];
       const std::size_t ct = static_cast<std::size_t>(c.lo / nb);
@@ -508,23 +402,19 @@ idx qr_run_dag(QrTiles<T>& t) {
                              ci == 0 ? TaskGraph::Priority::High
                                      : TaskGraph::Priority::Normal);
       g.add_edge(p, u);
-      if (s > 0 && uprev[ct] != kNoTask) {
-        g.add_edge(uprev[ct], u);
-      }
-      ucur[ct] = u;
+      edge_from(g, last[ct], u);
+      last[ct] = u;
     }
-    uprev.swap(ucur);
   }
   g.run();
-  t.graph = nullptr;
   return t.winfo.load(std::memory_order_relaxed);
 }
 
 }  // namespace detail
 
 /// Tiled LU with partial pivoting. Contract matches lapack::getrf; the
-/// scheduler (barrier or DAG) comes from LAPACK90_TILE_SCHEDULER and the
-/// tile edge from LAPACK90_TILE_NB. Degenerate shapes never build a graph.
+/// tile edge comes from LAPACK90_TILE_NB. Degenerate shapes never build a
+/// graph.
 template <Scalar T>
 idx getrf(idx m, idx n, T* a, idx lda, idx* ipiv) {
   const idx k = std::min(m, n);
@@ -536,9 +426,7 @@ idx getrf(idx m, idx n, T* a, idx lda, idx* ipiv) {
     return getf2(m, n, a, lda, ipiv);  // single tile: unblocked, no graph
   }
   detail::LuTiles<T> t{m, n, k, nb, a, lda, ipiv};
-  return tile_scheduler() == TileScheduler::TiledBarrier
-             ? detail::lu_run_barrier(t)
-             : detail::lu_run_dag(t);
+  return detail::lu_run_dag(t);
 }
 
 /// Tiled Cholesky. Contract matches lapack::potrf (info = 1-based order of
@@ -553,9 +441,7 @@ idx potrf(Uplo uplo, idx n, T* a, idx lda) {
     return potf2(uplo, n, a, lda);
   }
   detail::CholTiles<T> t{uplo, n, nb, a, lda};
-  return tile_scheduler() == TileScheduler::TiledBarrier
-             ? detail::chol_run_barrier(t)
-             : detail::chol_run_dag(t);
+  return detail::chol_run_dag(t);
 }
 
 /// Tiled blocked-Householder QR. Returns 0, or -100 when a tile-workspace
@@ -576,9 +462,7 @@ idx geqrf(idx m, idx n, T* a, idx lda, T* tau) {
   }
   std::vector<T> tstore(static_cast<std::size_t>(steps) * nb * nb);
   detail::QrTiles<T> t{m, n, k, nb, a, lda, tau, tstore.data()};
-  return tile_scheduler() == TileScheduler::TiledBarrier
-             ? detail::qr_run_barrier(t)
-             : detail::qr_run_dag(t);
+  return detail::qr_run_dag(t);
 }
 
 }  // namespace la::lapack::tiled

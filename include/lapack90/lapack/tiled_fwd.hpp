@@ -1,6 +1,6 @@
 // lapack90/lapack/tiled_fwd.hpp
 //
-// Light-weight front door for the tiled factorizations: the scheduler
+// Light-weight front door for the tiled factorizations: the fork-join/DAG
 // switch, the tile-size query, the dispatch gate, and forward declarations
 // of the tiled drivers. The legacy family headers (lu.hpp, cholesky.hpp,
 // qr.hpp) include THIS at the top so their blocked drivers can dispatch,
@@ -17,27 +17,25 @@
 namespace la {
 
 /// Which runtime drives getrf/potrf/geqrf past the blocking crossover.
-/// Backed by EnvSpec::TileScheduler (LAPACK90_TILE_SCHEDULER); the legacy
-/// fork-join path stays available for fallback and A/B benching.
+/// Backed by EnvSpec::TileScheduler and selected in process through
+/// set_tile_scheduler (no environment variable); the legacy fork-join path
+/// stays available as the A/B arm. Id 2 is retired and reads as TiledDag.
 enum class TileScheduler : int {
-  ForkJoin = 1,      ///< legacy blocked loops, parallel_for inside each BLAS
-  TiledBarrier = 2,  ///< tile kernels, barrier after each panel step
-  TiledDag = 3,      ///< tile kernels on the task-DAG with panel lookahead
+  ForkJoin = 1,  ///< legacy blocked loops, parallel_for inside each BLAS
+  TiledDag = 3,  ///< tile kernels on the task-DAG with panel lookahead
 };
 
 /// Current scheduler selection.
 [[nodiscard]] inline TileScheduler tile_scheduler() noexcept {
-  const idx v = ilaenv(EnvSpec::TileScheduler, EnvRoutine::getrf, 0);
-  if (v <= 1) {
-    return TileScheduler::ForkJoin;
-  }
-  return v == 2 ? TileScheduler::TiledBarrier : TileScheduler::TiledDag;
+  return ilaenv(EnvSpec::TileScheduler, EnvRoutine::getrf, 0) <= 1
+             ? TileScheduler::ForkJoin
+             : TileScheduler::TiledDag;
 }
 
 /// Process-wide scheduler override; returns the previous selection (the
-/// effective one — an explicit override if set, else the environment
-/// default — so a save/set/restore round trip always lands back on the
-/// selection that was live before the set).
+/// effective one — an explicit override if set, else the tuning file or
+/// the builtin default — so a save/set/restore round trip always lands
+/// back on the selection that was live before the set).
 inline TileScheduler set_tile_scheduler(TileScheduler s) noexcept {
   const TileScheduler prev = tile_scheduler();
   set_env_override(EnvSpec::TileScheduler, EnvRoutine::getrf,

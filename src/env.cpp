@@ -60,7 +60,7 @@ idx env_spec_max(EnvSpec spec) noexcept {
     case EnvSpec::Threads:
       return idx{1} << 15;  // matches the parallel runtime's env clamp
     case EnvSpec::TileScheduler:
-      return 3;  // ForkJoin / TiledBarrier / TiledDag
+      return 3;  // ForkJoin = 1, TiledDag = 3 (2 is retired, reads as 3)
     case EnvSpec::ServeQueueDepth:
     case EnvSpec::ServeBatchMax:
       return idx{1} << 20;
@@ -95,8 +95,6 @@ const char* env_knob_name(EnvSpec spec) noexcept {
       return "LAPACK90_IR_CUTOFF";
     case EnvSpec::TileSize:
       return "LAPACK90_TILE_NB";
-    case EnvSpec::TileScheduler:
-      return "LAPACK90_TILE_SCHEDULER";
     case EnvSpec::ServeQueueDepth:
       return "LAPACK90_SERVE_QUEUE";
     case EnvSpec::ServeFlushUs:
@@ -108,6 +106,7 @@ const char* env_knob_name(EnvSpec spec) noexcept {
     case EnvSpec::BlockSize:
     case EnvSpec::MinBlockSize:
     case EnvSpec::Crossover:
+    case EnvSpec::TileScheduler:  // set_tile_scheduler is the one selector
     case EnvSpec::Threads:  // resolved by the parallel runtime instead
       return nullptr;
   }

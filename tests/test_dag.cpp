@@ -2,20 +2,25 @@
 // it (lapack/tiled.hpp). Two layers of coverage:
 //
 //  * TaskGraph semantics: every task runs exactly once, dependencies are
-//    honored, priorities drain first, cancellation skips pending tasks
-//    without deadlocking, empty graphs never touch the pool.
-//  * Tiled getrf/potrf/geqrf: bit-identity across worker counts and across
-//    the barrier vs DAG schedulers at a matched tile schedule (the
+//    honored, backward edges are rejected, the serial path replays
+//    insertion order, cancellation skips pending tasks without
+//    deadlocking, empty graphs never touch the pool.
+//  * Tiled getrf/potrf/geqrf: the 4- and 8-worker DAG runs bit-identical
+//    to the 1-worker program-order run at a matched tile schedule (the
 //    determinism contract of DESIGN.md section 14), degenerate shapes
-//    against the unblocked reference (including INFO), and the -100
-//    workspace-injection cancellation path.
+//    against the unblocked reference (including INFO), NaN/Inf input
+//    against the fork-join path's INFO, and the -100 workspace-injection
+//    cancellation path.
 //
 // These suites ride the "dag" ctest label, the thread-matrix runs and the
 // tsan preset (see tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <limits>
 #include <mutex>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -135,17 +140,61 @@ TEST(DagSchedulerTest, RespectsDependencyOrder) {
   EXPECT_EQ(order.back(), 9);   // sink strictly last
 }
 
-TEST(DagSchedulerTest, SerialDrainPrefersHighPriorityFifo) {
-  // With one worker the drain is deterministic: both high-priority tasks
-  // (in insertion order) before the normal one.
-  ThreadsGuard one(1);
+TEST(DagSchedulerTest, SerialDrainReplaysInsertionOrder) {
+  // Mixed priorities over two interleaved chains: the serial path ignores
+  // priority and runs the tasks in the order they were added.
+  const std::vector<int> program = {0, 1, 2, 3, 4, 5, 6, 7};
+  const auto build_and_run = [&program](std::vector<int>& order) {
+    TaskGraph g;
+    for (const int i : program) {
+      const TaskGraph::TaskId id = g.add(
+          [&order, i] { order.push_back(i); },
+          i % 3 == 0 ? TaskGraph::Priority::Normal : TaskGraph::Priority::High);
+      if (i >= 2) {
+        g.add_edge(id - 2, id);
+      }
+    }
+    EXPECT_EQ(g.run(), 0);
+  };
+  {
+    ThreadsGuard one(1);
+    std::vector<int> order;
+    build_and_run(order);
+    EXPECT_EQ(order, program) << "one-worker team";
+  }
+  // Nested: each chunk of a parallel_for drains its own graph serially.
+  ThreadsGuard four(4);
+  std::vector<std::vector<int>> orders(8);
+  std::atomic<int> nested{0};
+  parallel_for(8, [&](idx c, int) {
+    if (detail::in_parallel_region()) {  // not on one hardware thread
+      nested.fetch_add(1, std::memory_order_relaxed);
+      build_and_run(orders[static_cast<std::size_t>(c)]);
+    }
+  });
+  if (nested.load() == 0) {
+    GTEST_SKIP() << "parallel_for never entered a parallel region here";
+  }
+  for (const auto& order : orders) {
+    if (!order.empty()) {
+      EXPECT_EQ(order, program) << "nested inside parallel_for";
+    }
+  }
+}
+
+TEST(DagSchedulerTest, AddEdgeRejectsEdgesThatDoNotPointForward) {
   TaskGraph g;
-  std::vector<int> order;
-  g.add([&] { order.push_back(1); }, TaskGraph::Priority::Normal);
-  g.add([&] { order.push_back(2); }, TaskGraph::Priority::High);
-  g.add([&] { order.push_back(3); }, TaskGraph::Priority::High);
+  std::atomic<int> ran{0};
+  const TaskGraph::TaskId a = g.add([&ran] { ran.fetch_add(1); });
+  const TaskGraph::TaskId b = g.add([&ran] { ran.fetch_add(1); });
+  EXPECT_THROW(g.add_edge(b, a), std::invalid_argument);  // later -> earlier
+  EXPECT_THROW(g.add_edge(a, a), std::invalid_argument);  // self edge
+  EXPECT_THROW(g.add_edge(a, b + 1), std::invalid_argument);  // unknown id
+  EXPECT_THROW(g.add_edge(-1, b), std::invalid_argument);
+  g.add_edge(a, b);
+  // Rejected edges leave no dependency behind: both tasks still run once.
   EXPECT_EQ(g.run(), 0);
-  EXPECT_EQ(order, (std::vector<int>{2, 3, 1}));
+  EXPECT_EQ(ran.load(), 2);
 }
 
 TEST(DagSchedulerTest, CancelSkipsPendingAndSurfacesStatus) {
@@ -184,17 +233,20 @@ template <Scalar T>
 class TiledFactorTest : public ::testing::Test {};
 TYPED_TEST_SUITE(TiledFactorTest, AllTypes);
 
+// The bit-identity oracle: a one-worker run executes the task graph in the
+// builder's program order (core/dag.hpp), and the 4- and 8-worker DAG
+// drains must reproduce it bit for bit.
 TYPED_TEST(TiledFactorTest, GetrfBitIdenticalAcrossSchedulersAndWorkers) {
   using T = TypeParam;
+  SchedulerGuard sg(TileScheduler::TiledDag);
   TileNbGuard nb(64);
   Iseed seed = seed_for(601);
   for (auto [m, n] : {std::pair<idx, idx>{200, 200}, {200, 150}, {150, 200},
                       {257, 193}}) {
     const Matrix<T> a0 = random_matrix<T>(m, n, seed);
     const idx k = std::min(m, n);
-    const auto factor = [&](TileScheduler s, idx workers, Matrix<T>& f,
+    const auto factor = [&](idx workers, Matrix<T>& f,
                             std::vector<idx>& piv) {
-      SchedulerGuard sg(s);
       ThreadsGuard tg(workers);
       f = a0;
       piv.assign(static_cast<std::size_t>(k), -1);
@@ -202,15 +254,12 @@ TYPED_TEST(TiledFactorTest, GetrfBitIdenticalAcrossSchedulersAndWorkers) {
     };
     Matrix<T> ref(m, n), cur(m, n);
     std::vector<idx> pref, pcur;
-    factor(TileScheduler::TiledDag, 1, ref, pref);
+    factor(1, ref, pref);
     for (const idx workers : {idx{4}, idx{8}}) {
-      factor(TileScheduler::TiledDag, workers, cur, pcur);
-      expect_bitwise(cur, ref, "dag factors across worker counts");
+      factor(workers, cur, pcur);
+      expect_bitwise(cur, ref, "dag factors vs 1-worker program order");
       EXPECT_EQ(pcur, pref);
     }
-    factor(TileScheduler::TiledBarrier, 4, cur, pcur);
-    expect_bitwise(cur, ref, "barrier vs dag factors");
-    EXPECT_EQ(pcur, pref);
     // And the result is a genuine LU of a0: solve a square system through
     // the factors (square case only).
     if (m == n) {
@@ -227,25 +276,23 @@ TYPED_TEST(TiledFactorTest, GetrfBitIdenticalAcrossSchedulersAndWorkers) {
 
 TYPED_TEST(TiledFactorTest, PotrfBitIdenticalAcrossSchedulersAndWorkers) {
   using T = TypeParam;
+  SchedulerGuard sg(TileScheduler::TiledDag);
   TileNbGuard nb(64);
   Iseed seed = seed_for(602);
   for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
     for (const idx n : {idx{200}, idx{257}}) {
       const Matrix<T> a0 = random_spd<T>(n, seed);
-      const auto factor = [&](TileScheduler s, idx workers, Matrix<T>& f) {
-        SchedulerGuard sg(s);
+      const auto factor = [&](idx workers, Matrix<T>& f) {
         ThreadsGuard tg(workers);
         f = a0;
         ASSERT_EQ(lapack::potrf(uplo, n, f.data(), f.ld()), 0);
       };
       Matrix<T> ref(n, n), cur(n, n);
-      factor(TileScheduler::TiledDag, 1, ref);
+      factor(1, ref);
       for (const idx workers : {idx{4}, idx{8}}) {
-        factor(TileScheduler::TiledDag, workers, cur);
-        expect_bitwise(cur, ref, "dag potrf across worker counts");
+        factor(workers, cur);
+        expect_bitwise(cur, ref, "dag potrf vs 1-worker program order");
       }
-      factor(TileScheduler::TiledBarrier, 4, cur);
-      expect_bitwise(cur, ref, "barrier vs dag potrf");
       // Solve through the factors to pin correctness.
       Matrix<T> x = random_matrix<T>(n, 2, seed);
       const Matrix<T> b = multiply(a0, x);
@@ -260,15 +307,15 @@ TYPED_TEST(TiledFactorTest, PotrfBitIdenticalAcrossSchedulersAndWorkers) {
 
 TYPED_TEST(TiledFactorTest, GeqrfBitIdenticalAcrossSchedulersAndWorkers) {
   using T = TypeParam;
+  SchedulerGuard sg(TileScheduler::TiledDag);
   TileNbGuard nb(64);
   Iseed seed = seed_for(603);
   for (auto [m, n] :
        {std::pair<idx, idx>{200, 150}, {150, 200}, {257, 257}}) {
     const Matrix<T> a0 = random_matrix<T>(m, n, seed);
     const idx k = std::min(m, n);
-    const auto factor = [&](TileScheduler s, idx workers, Matrix<T>& f,
+    const auto factor = [&](idx workers, Matrix<T>& f,
                             std::vector<T>& tau) {
-      SchedulerGuard sg(s);
       ThreadsGuard tg(workers);
       f = a0;
       tau.assign(static_cast<std::size_t>(k), T(0));
@@ -276,15 +323,12 @@ TYPED_TEST(TiledFactorTest, GeqrfBitIdenticalAcrossSchedulersAndWorkers) {
     };
     Matrix<T> ref(m, n), cur(m, n);
     std::vector<T> tref, tcur;
-    factor(TileScheduler::TiledDag, 1, ref, tref);
+    factor(1, ref, tref);
     for (const idx workers : {idx{4}, idx{8}}) {
-      factor(TileScheduler::TiledDag, workers, cur, tcur);
-      expect_bitwise(cur, ref, "dag geqrf across worker counts");
+      factor(workers, cur, tcur);
+      expect_bitwise(cur, ref, "dag geqrf vs 1-worker program order");
       EXPECT_EQ(tcur, tref);
     }
-    factor(TileScheduler::TiledBarrier, 4, cur, tcur);
-    expect_bitwise(cur, ref, "barrier vs dag geqrf");
-    EXPECT_EQ(tcur, tref);
     // Reconstruct Q R and compare against the input (tall/square shapes).
     if (m >= n) {
       Matrix<T> q = ref;
@@ -372,27 +416,68 @@ TYPED_TEST(TiledFactorTest, WorkspaceInjectionCancelsDagWithoutDeadlock) {
   const idx m = 200, n = 160;
   const Matrix<T> a0 = random_matrix<T>(m, n, seed);
   const idx k = std::min(m, n);
-  for (const TileScheduler mode :
-       {TileScheduler::TiledDag, TileScheduler::TiledBarrier}) {
-    SchedulerGuard sg(mode);
-    // Reference result with no injection active.
-    Matrix<T> ref = a0;
-    std::vector<T> tref(static_cast<std::size_t>(k), T(0));
-    ASSERT_EQ(lapack::geqrf(m, n, ref.data(), ref.ld(), tref.data()), 0);
-    // Inject one workspace failure: the first tile task's probe trips,
-    // cancels the remaining graph, and INFO = -100 surfaces.
-    Matrix<T> f = a0;
-    std::vector<T> tau(static_cast<std::size_t>(k), T(0));
-    inject_alloc_failures(1);
-    EXPECT_EQ(lapack::geqrf(m, n, f.data(), f.ld(), tau.data()), -100);
-    inject_alloc_failures(0);
-    // The pool survived the cancellation: an immediate retry completes and
-    // reproduces the reference bitwise.
-    f = a0;
-    std::fill(tau.begin(), tau.end(), T(0));
-    ASSERT_EQ(lapack::geqrf(m, n, f.data(), f.ld(), tau.data()), 0);
-    expect_bitwise(f, ref, "geqrf after cancelled run");
-    EXPECT_EQ(tau, tref);
+  SchedulerGuard sg(TileScheduler::TiledDag);
+  // Reference result with no injection active.
+  Matrix<T> ref = a0;
+  std::vector<T> tref(static_cast<std::size_t>(k), T(0));
+  ASSERT_EQ(lapack::geqrf(m, n, ref.data(), ref.ld(), tref.data()), 0);
+  // Inject one workspace failure: the first tile task's probe trips,
+  // cancels the remaining graph, and INFO = -100 surfaces.
+  Matrix<T> f = a0;
+  std::vector<T> tau(static_cast<std::size_t>(k), T(0));
+  inject_alloc_failures(1);
+  EXPECT_EQ(lapack::geqrf(m, n, f.data(), f.ld(), tau.data()), -100);
+  inject_alloc_failures(0);
+  // The pool survived the cancellation: an immediate retry completes and
+  // reproduces the reference bitwise.
+  f = a0;
+  std::fill(tau.begin(), tau.end(), T(0));
+  ASSERT_EQ(lapack::geqrf(m, n, f.data(), f.ld(), tau.data()), 0);
+  expect_bitwise(f, ref, "geqrf after cancelled run");
+  EXPECT_EQ(tau, tref);
+}
+
+TYPED_TEST(TiledFactorTest, NonFiniteInputTerminatesWithForkJoinInfo) {
+  // NaN or +-Inf at one interior position of a four-tile problem: every
+  // tiled driver returns, with the fork-join path's INFO at 1 and 4
+  // workers (the values are listed in DESIGN.md section 14).
+  using T = TypeParam;
+  using R = real_t<T>;
+  TileNbGuard nb(64);
+  Iseed seed = seed_for(606);
+  const idx n = 200, bi = 150, bj = 70;  // below the diagonal
+  ASSERT_TRUE(lapack::tiled::enabled(EnvRoutine::geqrf, n, n));
+  const Matrix<T> g0 = random_matrix<T>(n, n, seed);
+  const Matrix<T> s0 = random_spd<T>(n, seed);
+  const char* const drivers[] = {"getrf", "potrf lower", "potrf upper",
+                                 "geqrf"};
+  for (const R bad : {std::numeric_limits<R>::quiet_NaN(),
+                      std::numeric_limits<R>::infinity(),
+                      -std::numeric_limits<R>::infinity()}) {
+    for (int d = 0; d < 4; ++d) {
+      const auto info_of = [&](TileScheduler sched, idx workers) {
+        SchedulerGuard sg(sched);
+        ThreadsGuard tg(workers);
+        Matrix<T> a = d == 1 || d == 2 ? s0 : g0;
+        (d == 2 ? a(bj, bi) : a(bi, bj)) = T(bad);  // the triangle read
+        std::vector<idx> piv(static_cast<std::size_t>(n));
+        std::vector<T> tau(static_cast<std::size_t>(n));
+        idx info = 0;
+        within_timeout(drivers[d], [&] {
+          info = d == 0   ? lapack::getrf(n, n, a.data(), a.ld(), piv.data())
+                 : d == 1 ? lapack::potrf(Uplo::Lower, n, a.data(), a.ld())
+                 : d == 2 ? lapack::potrf(Uplo::Upper, n, a.data(), a.ld())
+                          : lapack::geqrf(n, n, a.data(), a.ld(), tau.data());
+        });
+        return info;
+      };
+      const idx fork_join = info_of(TileScheduler::ForkJoin, 1);
+      for (const idx workers : {idx{1}, idx{4}}) {
+        EXPECT_EQ(info_of(TileScheduler::TiledDag, workers), fork_join)
+            << drivers[d] << " with " << bad << " at " << workers
+            << " worker(s)";
+      }
+    }
   }
 }
 
@@ -413,6 +498,27 @@ TEST(TiledEnvTest, TileKnobDefaultsAndOverrides) {
   EXPECT_EQ(tile_scheduler(), TileScheduler::ForkJoin);
   EXPECT_EQ(set_tile_scheduler(sprev), TileScheduler::ForkJoin);
   EXPECT_EQ(tile_scheduler(), TileScheduler::TiledDag);
+  // The retired barrier id (an old tuning file, or a raw override) runs
+  // the DAG.
+  const idx raw =
+      set_env_override(EnvSpec::TileScheduler, EnvRoutine::getrf, 2);
+  EXPECT_EQ(tile_scheduler(), TileScheduler::TiledDag);
+  set_env_override(EnvSpec::TileScheduler, EnvRoutine::getrf, raw);
+}
+
+TEST(TiledEnvTest, SetTileSchedulerWinsOverTheRetiredEnvVar) {
+  // The scheduler's former environment variable is no longer read, so an
+  // exported value cannot turn the fork-join arm of an A/B measurement
+  // back into the DAG.
+  const char* const retired = "LAPACK90_TILE_SCHEDULER";
+  ASSERT_EQ(::setenv(retired, "3", 1), 0);
+  detail::refresh_env_cache();
+  const TileScheduler prev = set_tile_scheduler(TileScheduler::ForkJoin);
+  EXPECT_EQ(tile_scheduler(), TileScheduler::ForkJoin);
+  EXPECT_FALSE(lapack::tiled::enabled(EnvRoutine::getrf, 300, 300));
+  set_tile_scheduler(prev);
+  ASSERT_EQ(::unsetenv(retired), 0);
+  detail::refresh_env_cache();
 }
 
 TEST(TiledEnvTest, DispatchGateRespectsCrossoverAndTileCount) {

@@ -3,12 +3,7 @@
 // generalized driver.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <future>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "test_utils.hpp"
@@ -336,26 +331,6 @@ TYPED_TEST(NonsymRealTest, GegvSolvesGeneralizedProblem) {
 
 // ---------------------------------------------------------------------------
 // non-finite input: balancing must stop, the drivers must return INFO
-
-/// Run fn on its own thread and require it to return within `limit`. A
-/// hung call cannot be unwound or joined, so a timeout reports and ends
-/// the process.
-template <class F>
-void within_timeout(const char* what, F&& fn,
-                    std::chrono::seconds limit = std::chrono::seconds(10)) {
-  std::promise<void> done;
-  std::future<void> finished = done.get_future();
-  std::thread runner([&] {
-    fn();
-    done.set_value();
-  });
-  if (finished.wait_for(limit) != std::future_status::ready) {
-    std::fprintf(stderr, "%s did not return within %lld s\n", what,
-                 static_cast<long long>(limit.count()));
-    std::_Exit(1);
-  }
-  runner.join();
-}
 
 template <class T>
 class NonsymNonFiniteTest : public ::testing::Test {};

@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <complex>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
+#include <thread>
 
 #include "lapack90/lapack90.hpp"
 
@@ -133,6 +138,26 @@ template <Scalar T>
     g(i, i) -= T(1);
   }
   return lapack::lange(Norm::Max, n, n, g.data(), g.ld());
+}
+
+/// Run fn on its own thread and require it to return within `limit`. A
+/// hung call cannot be unwound or joined, so a timeout reports and ends
+/// the process.
+template <class F>
+void within_timeout(const char* what, F&& fn,
+                    std::chrono::seconds limit = std::chrono::seconds(10)) {
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread runner([&] {
+    fn();
+    done.set_value();
+  });
+  if (finished.wait_for(limit) != std::future_status::ready) {
+    std::fprintf(stderr, "%s did not return within %lld s\n", what,
+                 static_cast<long long>(limit.count()));
+    std::_Exit(1);
+  }
+  runner.join();
 }
 
 }  // namespace la::test
